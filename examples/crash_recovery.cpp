@@ -45,8 +45,14 @@ void Demo(EngineKind kind, uint64_t txns) {
                  {{3, Value::U64(0xDEAD)}});
   db.Crash();
 
-  const uint64_t ns = db.Recover();
-  printf("%-10s %8llu committed txns -> recovery %10.3f ms\n",
+  uint64_t ns = 0;
+  const Status recovered = db.Recover(&ns);
+  if (!recovered.ok()) {
+    fprintf(stderr, "%s recovery failed: %s\n", EngineKindName(kind),
+            recovered.ToString().c_str());
+    exit(1);
+  }
+  printf("%-10s %8llu committed txns -> recovery %10.3f simulated ms\n",
          EngineKindName(kind), (unsigned long long)txns, ns / 1e6);
 
   // The in-flight update was rolled back; committed data is intact.

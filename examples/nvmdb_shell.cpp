@@ -115,10 +115,15 @@ int main(int argc, char** argv) {
       continue;
     }
     if (cmd == "recover") {
-      const uint64_t ns = db.Recover();
+      uint64_t ns = 0;
+      const Status recovered = db.Recover(&ns);
+      if (!recovered.ok()) {
+        printf("recovery failed: %s\n", recovered.ToString().c_str());
+        continue;
+      }
       engine = db.partition(0);
       crashed = false;
-      printf("recovered in %.3f ms\n", ns / 1e6);
+      printf("recovered in %.3f simulated ms\n", ns / 1e6);
       continue;
     }
     if (crashed) {

@@ -16,7 +16,7 @@ void CrashSim::Arm(uint64_t target_event, bool tear_final_persist,
   rng_state_ = tear_seed * 0x9E3779B97F4A7C15ull + 1;
   captured_ = false;
   captured_event_ = 0;
-  image_.clear();
+  image_ = {};
 }
 
 void CrashSim::Disarm() {
@@ -73,12 +73,19 @@ void CrashSim::Capture(NvmDevice* device, uint64_t offset, size_t n,
                        bool atomic, uint64_t value) {
   // The durable image as of "just before this event retires": prior
   // persists plus natural dirty-line evictions, never cached-only data.
-  const uint8_t* durable = device->durable_image();
-  image_.assign(durable, durable + device->capacity());
+  image_ = device->SnapshotDurable();
+  // Apply part of the event itself. The page it lands on joins the image's
+  // page list (an unlisted page is all zero, so the rest of it is right).
+  auto land = [&](uint64_t addr, const void* src, size_t len) {
+    memcpy(image_.bytes.data() + addr, src, len);
+    const uint32_t page = static_cast<uint32_t>(addr / NvmDevice::kPageSize);
+    auto it = std::lower_bound(image_.pages.begin(), image_.pages.end(), page);
+    if (it == image_.pages.end() || *it != page) image_.pages.insert(it, page);
+  };
   if (tear_ && n > 0) {
     if (atomic) {
       // An aligned 8-byte atomic persist lands whole or not at all.
-      if (Coin()) memcpy(image_.data() + offset, &value, 8);
+      if (Coin()) land(offset, &value, 8);
     } else {
       // Tear the in-flight persist: each covered line independently
       // reaches NVM or dies in the cache, modeling reordered partial
@@ -92,7 +99,7 @@ void CrashSim::Capture(NvmDevice* device, uint64_t offset, size_t n,
         if (Coin()) {
           const size_t len =
               static_cast<size_t>(std::min<uint64_t>(ls, end - a));
-          memcpy(image_.data() + a, device->working_image() + a, len);
+          land(a, device->working_image() + a, len);
         }
       }
     }

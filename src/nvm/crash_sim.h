@@ -3,11 +3,10 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <vector>
+
+#include "nvm/nvm_device.h"
 
 namespace nvmdb {
-
-class NvmDevice;
 
 /// Crash-point fault injection over the NVM device's durability stream.
 ///
@@ -18,9 +17,11 @@ class NvmDevice;
 /// is *about to take effect*, a private copy of the durable image only:
 /// everything events 1..N-1 made durable (plus natural dirty-line
 /// evictions up to that moment), and nothing that was still sitting in the
-/// simulated CPU cache. Execution then continues normally — the capture is
-/// a frozen snapshot, not a control-flow abort — and the harness later
-/// replaces the device contents with the snapshot
+/// simulated CPU cache. Like a crash, a capture copies only the pages the
+/// device ever made durable (NvmDevice::SnapshotDurable), plus the page of
+/// any torn line it applies. Execution then continues normally — the
+/// capture is a frozen snapshot, not a control-flow abort — and the harness
+/// later replaces the device contents with the snapshot
 /// (`Database::CrashAt` / `NvmDevice::RestoreImages`) and re-runs
 /// recovery, observing exactly the bytes a power failure at event N would
 /// have left behind.
@@ -57,7 +58,7 @@ class CrashSim {
 
   /// The durable-only image captured at the crash point. Empty until a
   /// capture fires.
-  const std::vector<uint8_t>& image() const { return image_; }
+  const DurableImage& image() const { return image_; }
 
   /// Invoked synchronously inside the durability event that triggers the
   /// capture — i.e. from engine code mid-operation. Harnesses use it to
@@ -92,7 +93,7 @@ class CrashSim {
   uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
   bool captured_ = false;
   uint64_t captured_event_ = 0;
-  std::vector<uint8_t> image_;
+  DurableImage image_;
   std::function<void()> on_capture_;
 };
 

@@ -2,7 +2,10 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 
 #include "nvm/crash_sim.h"
@@ -11,23 +14,42 @@ namespace nvmdb {
 
 namespace {
 
-/// Zero-filled region that only costs page faults for the bytes actually
-/// touched. Falls back to calloc if mmap is unavailable.
-void* AllocZeroed(size_t bytes) {
-  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (p != MAP_FAILED) return p;
-  p = calloc(1, bytes);
-  assert(p != nullptr);
-  return p;
-}
-
-void FreeZeroed(void* p, size_t bytes) {
-  if (p == nullptr) return;
-  if (munmap(p, bytes) != 0) free(p);
-}
+constexpr int kZeroedProt = PROT_READ | PROT_WRITE;
+constexpr int kZeroedFlags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
 
 }  // namespace
+
+ZeroedBuffer::ZeroedBuffer(size_t bytes) : size_(bytes) {
+  void* p = mmap(nullptr, bytes, kZeroedProt, kZeroedFlags, -1, 0);
+  mapped_ = p != MAP_FAILED;
+  if (!mapped_) p = calloc(1, bytes);
+  if (p == nullptr) {
+    perror("ZeroedBuffer: calloc");
+    abort();
+  }
+  data_ = static_cast<uint8_t*>(p);
+}
+
+ZeroedBuffer::~ZeroedBuffer() {
+  if (data_ == nullptr) return;
+  if (mapped_) {
+    munmap(data_, size_);
+  } else {
+    free(data_);
+  }
+}
+
+void ZeroedBuffer::Clear() {
+  if (!mapped_) {
+    memset(data_, 0, size_);
+    return;
+  }
+  if (mmap(data_, size_, kZeroedProt, kZeroedFlags | MAP_FIXED, -1, 0) !=
+      data_) {
+    perror("ZeroedBuffer::Clear: mmap");
+    abort();
+  }
+}
 
 NvmLatencyConfig NvmLatencyConfig::Dram() {
   NvmLatencyConfig cfg;
@@ -58,15 +80,16 @@ NvmLatencyConfig NvmLatencyConfig::HighNvm() {
 
 NvmDevice::NvmDevice(size_t capacity, const NvmLatencyConfig& latency,
                      const CacheConfig& cache_cfg)
-    : capacity_(capacity), latency_(latency) {
-  working_ = static_cast<uint8_t*>(AllocZeroed(capacity_));
-  durable_ = static_cast<uint8_t*>(AllocZeroed(capacity_));
-  // std::atomic<uint32_t> is lock-free and layout-compatible with a zeroed
-  // uint32_t on every supported platform, so the wear array can live in a
-  // lazily-zeroed mapping too instead of an eagerly-constructed new[].
-  line_writes_ = static_cast<std::atomic<uint32_t>*>(
-      AllocZeroed((capacity_ / 64 + 1) * sizeof(std::atomic<uint32_t>)));
-
+    : capacity_(capacity),
+      working_(capacity),
+      latency_(latency),
+      durable_(capacity),
+      // std::atomic<uint32_t> is lock-free and layout-compatible with a
+      // zeroed uint32_t on every supported platform, so the wear array can
+      // live in a lazily-zeroed buffer too instead of an eagerly-constructed
+      // new[].
+      wear_((capacity / 64 + 1) * sizeof(std::atomic<uint32_t>)),
+      durable_pages_((capacity + kPageSize * 64 - 1) / (kPageSize * 64)) {
   // Resolve the concurrency mode (NVMDB_SHARED_CACHE override included)
   // before building the cache so the write-back trampoline and the cache
   // agree on it; the cache's own resolution of the same request is
@@ -88,10 +111,6 @@ NvmDevice::NvmDevice(size_t capacity, const NvmLatencyConfig& latency,
 
 NvmDevice::~NvmDevice() {
   if (NvmEnv::Get() == this) NvmEnv::Set(nullptr);
-  FreeZeroed(working_, capacity_);
-  FreeZeroed(durable_, capacity_);
-  FreeZeroed(line_writes_,
-             (capacity_ / 64 + 1) * sizeof(std::atomic<uint32_t>));
 }
 
 uint64_t NvmDevice::StoreCostNs() const {
@@ -108,8 +127,10 @@ void NvmDevice::OnWriteBack(uint64_t line_addr, size_t line_size) {
   // Lines outside the managed region (virtual heap addresses routed
   // through TouchVirtual) have no durable bytes but still cost a store.
   if (line_addr + line_size <= capacity_) {
-    memcpy(durable_ + line_addr, working_ + line_addr, line_size);
-    std::atomic<uint32_t>& wear = line_writes_[line_addr / 64];
+    memcpy(durable_.data() + line_addr, working_.data() + line_addr,
+           line_size);
+    MarkPage<M>(line_addr / kPageSize);
+    std::atomic<uint32_t>& wear = LineWrites(line_addr / 64);
     if constexpr (M == ConcurrencyMode::kOwner) {
       wear.store(wear.load(std::memory_order_relaxed) + 1,
                  std::memory_order_relaxed);
@@ -155,7 +176,9 @@ void NvmDevice::ReadSegments(uint64_t offset, const ReadSeg* segs,
   TouchSegments(offset, lens, k, /*is_write=*/false);
   for (size_t i = 0; i < k; i++) {
     assert(offset + segs[i].len <= capacity_);
-    if (segs[i].len != 0) memcpy(segs[i].dst, working_ + offset, segs[i].len);
+    if (segs[i].len != 0) {
+      memcpy(segs[i].dst, working_.data() + offset, segs[i].len);
+    }
     offset += segs[i].len;
   }
 }
@@ -168,7 +191,9 @@ void NvmDevice::WriteSegments(uint64_t offset, const WriteSeg* segs,
   TouchSegments(offset, lens, k, /*is_write=*/true);
   for (size_t i = 0; i < k; i++) {
     assert(offset + segs[i].len <= capacity_);
-    if (segs[i].len != 0) memcpy(working_ + offset, segs[i].src, segs[i].len);
+    if (segs[i].len != 0) {
+      memcpy(working_.data() + offset, segs[i].src, segs[i].len);
+    }
     offset += segs[i].len;
   }
 }
@@ -185,7 +210,7 @@ void NvmDevice::Read(uint64_t offset, void* dst, size_t n) {
   } else {
     ChargeAccess(offset, n, /*is_write=*/false);
   }
-  memcpy(dst, working_ + offset, n);
+  memcpy(dst, working_.data() + offset, n);
 }
 
 void NvmDevice::Write(uint64_t offset, const void* src, size_t n) {
@@ -195,7 +220,7 @@ void NvmDevice::Write(uint64_t offset, const void* src, size_t n) {
   } else {
     ChargeAccess(offset, n, /*is_write=*/true);
   }
-  memcpy(working_ + offset, src, n);
+  memcpy(working_.data() + offset, src, n);
 }
 
 void NvmDevice::Persist(uint64_t offset, size_t n) {
@@ -213,7 +238,8 @@ void NvmDevice::Persist(uint64_t offset, size_t n) {
   const uint64_t first = offset / ls * ls;
   uint64_t last_end = (offset + n + ls - 1) / ls * ls;
   if (last_end > capacity_) last_end = capacity_;
-  memcpy(durable_ + first, working_ + first, last_end - first);
+  memcpy(durable_.data() + first, working_.data() + first, last_end - first);
+  MarkPages(first, last_end - first);
   // Write-back bandwidth plus SFENCE + flush latency, in one accumulation.
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
   CounterAdd(sync_calls_, 1);
@@ -224,34 +250,92 @@ void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
   assert(offset + 8 <= capacity_);
   if (crash_sim_ != nullptr) crash_sim_->OnAtomicPersist(this, offset, value);
   ChargeAccess(offset, 8, /*is_write=*/true);
-  memcpy(working_ + offset, &value, 8);
+  memcpy(working_.data() + offset, &value, 8);
   const size_t flushed = FlushLines(offset, 8);
   // The durable copy of an aligned 8-byte store is itself atomic: either
   // the old or the new value survives a crash, never a torn mix.
-  memcpy(durable_ + offset, &value, 8);
+  memcpy(durable_.data() + offset, &value, 8);
+  MarkPages(offset, 8);
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
   CounterAdd(sync_calls_, 1);
 }
 
-void NvmDevice::Crash() {
-  // Dirty cached lines die with the caches; the working image reverts to
-  // exactly what had been made durable.
-  cache_->DropDirty();
-  memcpy(working_, durable_, capacity_);
+void NvmDevice::MarkPages(uint64_t offset, size_t n) {
+  for (uint64_t page = offset / kPageSize;
+       page <= (offset + n - 1) / kPageSize; page++) {
+    if (owner_) {
+      MarkPage<ConcurrencyMode::kOwner>(page);
+    } else {
+      MarkPage<ConcurrencyMode::kShared>(page);
+    }
+  }
 }
 
-void NvmDevice::RestoreImages(const uint8_t* image, size_t n) {
-  assert(n == capacity_);
-  (void)n;
+std::vector<uint32_t> NvmDevice::DurablePages() const {
+  std::vector<uint32_t> pages;
+  for (size_t w = 0; w < durable_pages_.size(); w++) {
+    for (uint64_t bits = durable_pages_[w].load(std::memory_order_relaxed);
+         bits != 0; bits &= bits - 1) {
+      pages.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+  }
+  return pages;
+}
+
+void NvmDevice::CopyPage(uint8_t* dst, const uint8_t* src,
+                         uint64_t page) const {
+  const uint64_t offset = page * kPageSize;
+  memcpy(dst + offset, src + offset,
+         std::min<uint64_t>(kPageSize, capacity_ - offset));
+}
+
+void NvmDevice::Crash() {
+  // Dirty cached lines die with the caches; the working image reverts to
+  // exactly what had been made durable: fresh zero pages, plus a copy of
+  // the marked pages (every other durable page is all zero).
   cache_->DropDirty();
-  memcpy(durable_, image, capacity_);
-  memcpy(working_, image, capacity_);
+  working_.Clear();
+  for (uint32_t page : DurablePages()) {
+    CopyPage(working_.data(), durable_.data(), page);
+  }
+}
+
+DurableImage NvmDevice::SnapshotDurable() const {
+  DurableImage image{ZeroedBuffer(capacity_), DurablePages()};
+  for (uint32_t page : image.pages) {
+    CopyPage(image.bytes.data(), durable_.data(), page);
+  }
+  return image;
+}
+
+void NvmDevice::RestoreImages(const DurableImage& image) {
+  assert(image.bytes.size() == capacity_);
+  cache_->DropDirty();
+  durable_.Clear();
+  working_.Clear();
+  for (uint32_t page : image.pages) {
+    CopyPage(durable_.data(), image.bytes.data(), page);
+    CopyPage(working_.data(), image.bytes.data(), page);
+    MarkPages(uint64_t{page} * kPageSize, kPageSize);
+  }
 }
 
 void NvmDevice::FlushAll() {
   const size_t flushed = cache_->WriteBackAll();
   ChargeStall(flushed * StoreCostNs());
-  memcpy(durable_, working_, capacity_);
+  // Mirror the whole working image, bytes stored through base() without a
+  // Touch included. An unmarked page that is all zero in the working image
+  // already matches the durable one, so only the other pages are copied.
+  static constexpr uint8_t kZeroPage[kPageSize] = {};
+  for (uint64_t offset = 0; offset < capacity_; offset += kPageSize) {
+    const size_t len = std::min<uint64_t>(kPageSize, capacity_ - offset);
+    if (!PageMarked(offset / kPageSize) &&
+        memcmp(working_.data() + offset, kZeroPage, len) == 0) {
+      continue;
+    }
+    memcpy(durable_.data() + offset, working_.data() + offset, len);
+    MarkPages(offset, len);
+  }
 }
 
 NvmCounters NvmDevice::counters() const {
@@ -287,7 +371,7 @@ WearStats NvmDevice::wear() const {
   WearStats w;
   const size_t num_lines = capacity_ / 64 + 1;
   for (size_t i = 0; i < num_lines; i++) {
-    const uint32_t writes = line_writes_[i].load(std::memory_order_relaxed);
+    const uint32_t writes = LineWrites(i).load(std::memory_order_relaxed);
     if (writes == 0) continue;
     w.total_line_writes += writes;
     w.lines_touched++;

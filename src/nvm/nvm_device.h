@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nvm/cache_sim.h"
@@ -14,6 +15,46 @@ namespace nvmdb {
 
 class CrashSim;
 class TraceWriter;
+
+/// A zero-filled byte buffer that costs memory only for the pages written
+/// into it: an anonymous mapping, or calloc where mmap is unavailable.
+/// The device images, the wear array and CrashSim captures all live in
+/// one, so neither a fresh device nor a crash touches memory in
+/// proportion to capacity.
+class ZeroedBuffer {
+ public:
+  ZeroedBuffer() = default;
+  explicit ZeroedBuffer(size_t bytes);
+  ~ZeroedBuffer();
+  ZeroedBuffer(ZeroedBuffer&& other) noexcept { *this = std::move(other); }
+  ZeroedBuffer& operator=(ZeroedBuffer&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(mapped_, other.mapped_);
+    return *this;
+  }
+
+  uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+
+  /// Zero every byte in place: an anonymous MAP_FIXED remap of the same
+  /// range hands the pages back and keeps the address, so every pointer
+  /// into the buffer stays valid (memset on the calloc fallback).
+  void Clear();
+
+ private:
+  uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+  bool mapped_ = false;
+};
+
+/// A copy of a device's durable image that is zero outside `pages`
+/// (ascending NvmDevice::kPageSize page indices): what a CrashSim capture
+/// holds and NvmDevice::RestoreImages crashes onto.
+struct DurableImage {
+  ZeroedBuffer bytes;
+  std::vector<uint32_t> pages;
+};
 
 /// Latency/bandwidth profile of the emulated NVM device. The paper's
 /// hardware emulator exposes exactly these knobs (Section 2.2): a tunable
@@ -88,6 +129,12 @@ struct NvmCounters {
 /// `Crash()` discards the caches and replaces the working image with the
 /// durable one, so recovery code observes exactly the bytes that were made
 /// durable — torn multi-line writes and lost unflushed updates included.
+///
+/// The device keeps one mark per kPageSize page of the durable image, set
+/// by every path that writes it (write-back, Persist, AtomicPersistWrite64,
+/// FlushAll, RestoreImages) and never cleared: an unmarked durable page is
+/// all zero. Crash, SnapshotDurable and RestoreImages therefore copy only
+/// the marked pages, and cost O(pages made durable), not O(capacity).
 class NvmDevice {
  public:
   NvmDevice(size_t capacity, const NvmLatencyConfig& latency = {},
@@ -97,18 +144,22 @@ class NvmDevice {
   NvmDevice(const NvmDevice&) = delete;
   NvmDevice& operator=(const NvmDevice&) = delete;
 
+  /// Granularity of the durable-page marks (and of DurableImage pages).
+  static constexpr size_t kPageSize = 4096;
+
   size_t capacity() const { return capacity_; }
-  uint8_t* base() { return working_; }
+  uint8_t* base() { return working_.data(); }
 
   /// Translate between raw pointers into the working image and stable
   /// region offsets (the representation of non-volatile pointers).
   uint64_t OffsetOf(const void* p) const {
-    return static_cast<uint64_t>(static_cast<const uint8_t*>(p) - working_);
+    return static_cast<uint64_t>(static_cast<const uint8_t*>(p) -
+                                 working_.data());
   }
-  void* PtrAt(uint64_t offset) { return working_ + offset; }
-  const void* PtrAt(uint64_t offset) const { return working_ + offset; }
+  void* PtrAt(uint64_t offset) { return working_.data() + offset; }
+  const void* PtrAt(uint64_t offset) const { return working_.data() + offset; }
   bool Contains(const void* p) const {
-    return p >= working_ && p < working_ + capacity_;
+    return p >= working_.data() && p < working_.data() + capacity_;
   }
 
   /// Synchronization mode the device (and its cache) runs in; selected by
@@ -221,11 +272,14 @@ class NvmDevice {
   /// Simulate power failure: every byte not yet written back is lost.
   void Crash();
 
+  /// A copy of the durable image holding only the marked pages.
+  DurableImage SnapshotDurable() const;
+
   /// Crash onto an externally captured durable image (a CrashSim
   /// snapshot): cached state is discarded and both images are replaced by
   /// `image`, so recovery observes exactly the bytes that were durable at
-  /// the captured event. `n` must equal capacity().
-  void RestoreImages(const uint8_t* image, size_t n);
+  /// the captured event. `image.bytes` must span capacity().
+  void RestoreImages(const DurableImage& image);
 
   /// Write back the entire cache (a clean shutdown).
   void FlushAll();
@@ -240,8 +294,8 @@ class NvmDevice {
   CrashSim* crash_sim() const { return crash_sim_; }
 
   /// Read-only views for CrashSim captures.
-  const uint8_t* durable_image() const { return durable_; }
-  const uint8_t* working_image() const { return working_; }
+  const uint8_t* durable_image() const { return durable_.data(); }
+  const uint8_t* working_image() const { return working_.data(); }
   size_t cache_line_size() const { return cache_->line_size(); }
 
   // --- Accounting -----------------------------------------------------------
@@ -340,14 +394,41 @@ class NvmDevice {
     static_cast<NvmDevice*>(ctx)->OnWriteBack<M>(line_addr, line_size);
   }
 
+  /// Set the mark of durable page `page`. The marks of pages sharing a
+  /// word are set by write-backs from different banks in kShared, hence
+  /// the atomic OR there; kOwner uses a plain load+store.
+  template <ConcurrencyMode M>
+  void MarkPage(uint64_t page) {
+    std::atomic<uint64_t>& word = durable_pages_[page / 64];
+    const uint64_t bit = uint64_t{1} << (page % 64);
+    if constexpr (M == ConcurrencyMode::kOwner) {
+      word.store(word.load(std::memory_order_relaxed) | bit,
+                 std::memory_order_relaxed);
+    } else {
+      word.fetch_or(bit, std::memory_order_relaxed);
+    }
+  }
+  /// Mark every page covering [offset, offset+n), n > 0.
+  void MarkPages(uint64_t offset, size_t n);
+  bool PageMarked(uint64_t page) const {
+    return (durable_pages_[page / 64].load(std::memory_order_relaxed) >>
+            (page % 64)) & 1;
+  }
+  /// Ascending indices of the marked pages.
+  std::vector<uint32_t> DurablePages() const;
+  /// Copy page `page` from one capacity-sized image to another.
+  void CopyPage(uint8_t* dst, const uint8_t* src, uint64_t page) const;
+
+  std::atomic<uint32_t>& LineWrites(size_t line) const {
+    return reinterpret_cast<std::atomic<uint32_t>*>(wear_.data())[line];
+  }
+
   size_t capacity_;
   // Working/durable images and the per-line wear array are lazily-zeroed
-  // anonymous mappings: a fresh device costs no page-touch proportional to
-  // capacity, only to the bytes actually used (the seed's new[]+memset
-  // burned ~1.5 GB of page faults per benchmark database).
-  uint8_t* working_ = nullptr;
-  uint8_t* durable_ = nullptr;
-  std::atomic<uint32_t>* line_writes_ = nullptr;  // wear per line
+  // buffers: a fresh device costs no page-touch proportional to capacity,
+  // only to the bytes actually used (the seed's new[]+memset burned
+  // ~1.5 GB of page faults per benchmark database).
+  ZeroedBuffer working_;
   NvmLatencyConfig latency_;
   std::unique_ptr<CacheSim> cache_;
   /// True in ConcurrencyMode::kOwner (thread-confined, plain counter
@@ -363,6 +444,13 @@ class NvmDevice {
   /// total well under 2^50, so ranges never collide with region lines.
   std::atomic<uint64_t> virtual_brk_{uint64_t{1} << 44};
   CrashSim* crash_sim_ = nullptr;
+  // Off the access path (write-backs, persists and crashes only), so
+  // declared after the members every access reads.
+  ZeroedBuffer durable_;
+  ZeroedBuffer wear_;  // std::atomic<uint32_t> write count per line
+  /// One bit per kPageSize page of durable_: set once the page may hold a
+  /// non-zero byte (see the class comment).
+  std::vector<std::atomic<uint64_t>> durable_pages_;
 };
 
 /// Thread-local "current device" used by non-volatile pointers so that

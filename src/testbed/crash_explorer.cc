@@ -321,7 +321,11 @@ bool RunCrashPoint(const CrashExplorerConfig& cfg, const TableDef& def,
   }
   db->CrashAt(sim);
   db->device()->set_crash_sim(nullptr);
-  db->Recover();
+  const Status s = db->Recover();
+  if (!s.ok()) {
+    *error = "recovery failed: " + s.ToString();
+    return false;
+  }
   return VerifyRecovered(db, def, run, cfg, error);
 }
 

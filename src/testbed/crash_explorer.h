@@ -37,8 +37,7 @@ struct CrashExplorerConfig {
   uint32_t abort_percent = 10;
   uint64_t seed = 1;
 
-  /// Database shape (one partition; small capacity keeps the per-crash
-  /// image snapshot/restore cheap).
+  /// Database shape (one partition).
   size_t nvm_capacity = 16ull * 1024 * 1024;
   size_t group_commit_size = 4;
   size_t memtable_threshold_bytes = 32 * 1024;

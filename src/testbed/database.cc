@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/timer.h"
 #include "common/trace.h"
 #include "nvm/crash_sim.h"
 
@@ -64,15 +63,13 @@ void Database::CrashAt(const CrashSim& sim) {
                     0);
   }
   assert(sim.captured());
-  assert(sim.image().size() == device_->capacity());
   engines_.clear();
   fs_.reset();
   allocator_.reset();
-  device_->RestoreImages(sim.image().data(), sim.image().size());
+  device_->RestoreImages(sim.image());
 }
 
-uint64_t Database::Recover() {
-  Stopwatch watch;
+Status Database::Recover(uint64_t* sim_ns) {
   const uint64_t stall_before = device_->TotalStallNanos();
   // OS restart: the allocator scans the heap, reclaims unpersisted slots,
   // and restores its metadata; PMFS reattaches via the root catalog.
@@ -83,14 +80,21 @@ uint64_t Database::Recover() {
   // their recovery protocols.
   InstantiateEngines();
   for (const TableDef& def : table_defs_) {
-    for (auto& engine : engines_) engine->CreateTable(def);
+    for (auto& engine : engines_) {
+      Status s = engine->CreateTable(def);
+      if (!s.ok()) return s;
+    }
   }
-  for (auto& engine : engines_) engine->Recover();
+  for (auto& engine : engines_) {
+    Status s = engine->Recover();
+    if (!s.ok()) return s;
+  }
   const uint64_t stall = device_->TotalStallNanos() - stall_before;
   if (trace_ != nullptr) {
     trace_->Span("recover", "recovery", stall_before, stall, 0);
   }
-  return watch.ElapsedNanos() + stall;
+  if (sim_ns != nullptr) *sim_ns = stall;
+  return Status::OK();
 }
 
 FootprintStats Database::Footprint() const {

@@ -64,9 +64,10 @@ class Database {
 
   /// Bring the database back after Crash(): allocator recovery, engine
   /// re-instantiation, table re-registration, engine recovery protocols.
-  /// Returns the wall-clock nanoseconds spent recovering (Fig. 12's
-  /// metric).
-  uint64_t Recover();
+  /// Returns the first engine CreateTable/Recover failure. `sim_ns`, when
+  /// given, receives the simulated nanoseconds recovery charged to the
+  /// device clock (Fig. 12's metric).
+  Status Recover(uint64_t* sim_ns = nullptr);
 
   /// Whole-database storage footprint (Fig. 14): persistent components
   /// from the allocator's per-tag accounting plus the engines' volatile

@@ -87,7 +87,7 @@ TEST_P(CrashFuzzTest, RecoveredStateMatchesDurableModel) {
     durable_model = current_model;
     db->Crash();
   }
-  db->Recover();
+  ASSERT_TRUE(db->Recover().ok());
   engine = db->partition(0);
 
   // Verification: every key in the durable model must be present with its

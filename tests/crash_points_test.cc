@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "engine/wal.h"
 #include "nvm/crash_sim.h"
@@ -51,10 +53,10 @@ TEST_F(CrashSimTest, CaptureIsDurableImageBeforeTheEvent) {
 
   ASSERT_TRUE(sim_.captured());
   EXPECT_EQ(sim_.captured_event(), 2u);
-  ASSERT_EQ(sim_.image().size(), device_.capacity());
+  ASSERT_EQ(sim_.image().bytes.size(), device_.capacity());
   uint64_t snap0, snap256;
-  memcpy(&snap0, sim_.image().data(), 8);
-  memcpy(&snap256, sim_.image().data() + 256, 8);
+  memcpy(&snap0, sim_.image().bytes.data(), 8);
+  memcpy(&snap256, sim_.image().bytes.data() + 256, 8);
   // The crash image predates event 2: A survives, B and C do not...
   EXPECT_EQ(snap0, a);
   EXPECT_EQ(snap256, 0u);
@@ -77,7 +79,7 @@ TEST_F(CrashSimTest, TornCaptureIsOldOrNewPerLine) {
     device_.Persist(uint64_t{0}, 8);
     ASSERT_TRUE(sim_.captured());
     uint64_t snap;
-    memcpy(&snap, sim_.image().data(), 8);
+    memcpy(&snap, sim_.image().bytes.data(), 8);
     ASSERT_TRUE(snap == a || snap == b);  // whole line lands or dies
     saw_old |= snap == a;
     saw_new |= snap == b;
@@ -98,10 +100,63 @@ TEST_F(CrashSimTest, RestoreImagesRewindsTheDevice) {
   device_.Write(0, &b, 8);
   device_.Persist(uint64_t{0}, 8);
   ASSERT_TRUE(sim_.captured());
-  device_.RestoreImages(sim_.image().data(), sim_.image().size());
+  device_.RestoreImages(sim_.image());
   uint64_t val;
   device_.Read(0, &val, 8);
   EXPECT_EQ(val, a);
+}
+
+/// A torn capture can land a line on a page the durable image never held.
+/// The capture must list that page, or Database::CrashAt would restore it
+/// as zeros along with every other unlisted page.
+TEST(CrashAtTest, TornLineOnNeverDurablePageIsRestored) {
+  auto db = testutil::MakeDb(EngineKind::kNvmInP);
+  const TableDef def = testutil::SimpleTable();
+  ASSERT_TRUE(db->CreateTable(def).ok());
+  StorageEngine* engine = db->partition(0);
+  const uint64_t txn = engine->Begin();
+  ASSERT_TRUE(
+      engine->Insert(txn, 1, testutil::SimpleTuple(&def.schema, 7, "kept"))
+          .ok());
+  ASSERT_TRUE(engine->Commit(txn).ok());
+
+  NvmDevice* device = db->device();
+  CrashSim sim;
+  device->set_crash_sim(&sim);
+  const uint64_t value = 0x5EED5EED5EED5EEDull;
+  // Each attempt persists to a fresh page at the top of the device (far
+  // above the allocator's heap) until a coin flip lands the line.
+  uint64_t offset = 0;
+  bool landed = false;
+  for (uint64_t seed = 1; seed <= 16 && !landed; seed++) {
+    offset = device->capacity() - seed * NvmDevice::kPageSize;
+    sim.Arm(sim.event_count() + 1, /*tear_final_persist=*/true, seed);
+    device->Write(offset, &value, 8);
+    device->Persist(offset, 8);
+    ASSERT_TRUE(sim.captured());
+    uint64_t snap = 0;
+    memcpy(&snap, sim.image().bytes.data() + offset, 8);
+    landed = snap == value;
+  }
+  device->set_crash_sim(nullptr);
+  ASSERT_TRUE(landed);
+  const std::vector<uint32_t>& pages = sim.image().pages;
+  EXPECT_TRUE(std::binary_search(pages.begin(), pages.end(),
+                                 offset / NvmDevice::kPageSize));
+
+  db->CrashAt(sim);
+  EXPECT_EQ(memcmp(device->durable_image(), sim.image().bytes.data(),
+                   device->capacity()),
+            0);
+  EXPECT_EQ(memcmp(device->working_image(), sim.image().bytes.data(),
+                   device->capacity()),
+            0);
+  ASSERT_TRUE(db->Recover().ok());
+  engine = db->partition(0);
+  const uint64_t check = engine->Begin();
+  Tuple out;
+  EXPECT_TRUE(engine->Select(check, 1, 7, &out).ok());
+  engine->Commit(check);
 }
 
 // --- WAL durability-tracking regression (ISSUE 2 satellite) ---------------------

@@ -36,7 +36,7 @@ class EngineRecoveryTest : public ::testing::TestWithParam<EngineKind> {
 
   void CrashAndRecover() {
     db_->Crash();
-    db_->Recover();
+    ASSERT_TRUE(db_->Recover().ok());
   }
 
   std::unique_ptr<Database> db_;
@@ -176,11 +176,11 @@ TEST_P(EngineRecoveryTest, RecoveryIsIdempotent) {
   const uint64_t txn = engine()->Begin();
   engine()->Update(txn, 1, 1, {{3, Value::U64(8)}});
   db_->Crash();
-  db_->Recover();
+  ASSERT_TRUE(db_->Recover().ok());
   // Crash again immediately (recovery half-done scenarios collapse to
   // running recovery twice).
   db_->Crash();
-  db_->Recover();
+  ASSERT_TRUE(db_->Recover().ok());
   const uint64_t txn2 = engine()->Begin();
   Tuple out;
   ASSERT_TRUE(engine()->Select(txn2, 1, 1, &out).ok());
@@ -237,12 +237,13 @@ TEST_P(NvmEngineRecoveryTest, UndoLogEmptyAfterRecovery) {
   const uint64_t txn = engine()->Begin();
   engine()->Update(txn, 1, 1, {{3, Value::U64(2)}});
   db_->Crash();
-  const uint64_t first_ns = db_->Recover();
+  uint64_t first_ns = 0;
+  ASSERT_TRUE(db_->Recover(&first_ns).ok());
   // Second crash with no in-flight work: recovery does strictly less.
   db_->Crash();
-  const uint64_t second_ns = db_->Recover();
-  (void)first_ns;
-  (void)second_ns;
+  uint64_t second_ns = 0;
+  ASSERT_TRUE(db_->Recover(&second_ns).ok());
+  EXPECT_LT(second_ns, first_ns);
   const uint64_t txn2 = engine()->Begin();
   Tuple out;
   ASSERT_TRUE(engine()->Select(txn2, 1, 1, &out).ok());

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "nvm/cache_sim.h"
 #include "nvm/nvm_device.h"
 #include "nvm/sync.h"
@@ -330,6 +331,85 @@ TEST_F(NvmDeviceTest, FlushAllMakesEverythingDurable) {
     device_.Read(i * 128, &v, 8);
     EXPECT_EQ(v, i);
   }
+}
+
+/// Crash() rebuilds the working image from the pages the device marked as
+/// durable, so a path that writes the durable image without its mark would
+/// read back zeros after a crash. A seeded mix of every such path on a
+/// small-cache device (evictions write back): around each crash, both
+/// images must equal the whole durable image as it stood just before.
+TEST(NvmDevicePageMarkTest, CrashLeavesExactlyTheDurableImage) {
+  constexpr size_t kPages = 1024;
+  constexpr size_t kCapacity = kPages * NvmDevice::kPageSize;
+  // Raw stores to the top quarter are never touched or persisted: only
+  // FlushAll makes them durable.
+  constexpr size_t kUnpersistedPages = kPages / 4;
+  CacheConfig small_cache;
+  small_cache.capacity_bytes = 8 * 1024;
+  small_cache.num_banks = 1;
+  NvmDevice device(kCapacity, NvmLatencyConfig::Dram(), small_cache);
+  Random rng(1017);
+  // A random cache line inside [first_page, first_page + pages).
+  auto line_in = [&](size_t first_page, size_t pages) {
+    return (first_page + rng.Uniform(pages)) * NvmDevice::kPageSize +
+           rng.Uniform(NvmDevice::kPageSize / 64) * 64;
+  };
+  auto crash_and_compare = [&](NvmDevice* d, int round) {
+    const std::vector<uint8_t> durable(d->durable_image(),
+                                       d->durable_image() + kCapacity);
+    d->Crash();
+    EXPECT_EQ(memcmp(d->durable_image(), durable.data(), kCapacity), 0)
+        << "round " << round;
+    EXPECT_EQ(memcmp(d->working_image(), durable.data(), kCapacity), 0)
+        << "round " << round;
+  };
+
+  for (int round = 0; round < 8; round++) {
+    for (int op = 0; op < 200; op++) {
+      if (op == 100 && round % 3 == 1) device.FlushAll();
+      const uint64_t value = rng.Next() | 1;  // never all zero
+      const uint64_t offset = line_in(0, kPages - kUnpersistedPages);
+      uint8_t* raw = device.base() + offset;
+      switch (rng.Uniform(6)) {
+        case 0:
+          device.Write(offset, &value, 8);
+          break;
+        case 1: {
+          const uint64_t payload[3] = {value, ~value, value * 3};
+          const NvmDevice::WriteSeg segs[] = {{&value, 8},
+                                              {payload, sizeof(payload)}};
+          device.WriteSegments(offset, segs, 2);
+          break;
+        }
+        case 2:
+          memcpy(raw, &value, 8);
+          device.TouchWrite(raw, 8);
+          break;
+        case 3:
+          memcpy(raw, &value, 8);
+          device.Persist(offset, 8);
+          break;
+        case 4:
+          device.AtomicPersistWrite64(offset, value);
+          break;
+        case 5:
+          memcpy(device.base() + line_in(kPages - kUnpersistedPages,
+                                         kUnpersistedPages),
+                 &value, 8);
+          break;
+      }
+    }
+    crash_and_compare(&device, round);
+  }
+
+  // A fresh device restored from a snapshot holds only the marks
+  // RestoreImages set.
+  NvmDevice restored(kCapacity, NvmLatencyConfig::Dram(), small_cache);
+  restored.RestoreImages(device.SnapshotDurable());
+  EXPECT_EQ(memcmp(restored.durable_image(), device.durable_image(),
+                   kCapacity),
+            0);
+  crash_and_compare(&restored, -1);
 }
 
 TEST_F(NvmDeviceTest, CountersTrackLoadsAndStores) {
