@@ -129,34 +129,20 @@ inline DatabaseConfig MakeDbConfig(EngineKind engine) {
   return cfg;
 }
 
-/// Load + run one YCSB configuration on a fresh database.
-inline BenchRun RunYcsb(EngineKind engine, YcsbMixture mixture,
-                        YcsbSkew skew,
-                        const EngineConfig& engine_overrides = {}) {
-  DatabaseConfig cfg = MakeDbConfig(engine);
-  // Whole-struct assignment: an earlier version copied a hand-picked list
-  // of fields, so knobs added to EngineConfig later (use_bloom_filters,
-  // checkpoint_interval_txns, ...) were silently dropped here. The
-  // database overrides the allocator/fs/namespace fields per partition
-  // anyway (Database::InstantiateEngines), so copying everything is safe.
-  cfg.engine_config = engine_overrides;
-
+/// Load `workload` into a fresh database built from `cfg`, then run its
+/// queues through a Coordinator. `what` names the workload in the failure
+/// report of a load that does not succeed.
+template <typename Workload>
+BenchRun LoadAndRun(const DatabaseConfig& cfg, Workload& workload,
+                    const char* what) {
   auto db = std::make_unique<Database>(cfg);
-  YcsbConfig ycfg;
-  ycfg.num_tuples = Scale().ycsb_tuples;
-  ycfg.num_txns = Scale().ycsb_txns;
-  ycfg.num_partitions = cfg.num_partitions;
-  ycfg.mixture = mixture;
-  ycfg.skew = skew;
-  YcsbWorkload workload(ycfg);
-
   BenchRun run;
   {
     Stopwatch load_watch;
     CounterSampler sampler(db->device());
     Status s = workload.Load(db.get());
     if (!s.ok()) {
-      ReportFailure("YCSB load", s);
+      ReportFailure(what, s);
       return run;
     }
     run.load_counters = sampler.Delta();
@@ -176,6 +162,28 @@ inline BenchRun RunYcsb(EngineKind engine, YcsbMixture mixture,
   return run;
 }
 
+/// Load + run one YCSB configuration on a fresh database.
+inline BenchRun RunYcsb(EngineKind engine, YcsbMixture mixture,
+                        YcsbSkew skew,
+                        const EngineConfig& engine_overrides = {}) {
+  DatabaseConfig cfg = MakeDbConfig(engine);
+  // Whole-struct assignment: an earlier version copied a hand-picked list
+  // of fields, so knobs added to EngineConfig later (use_bloom_filters,
+  // checkpoint_interval_txns, ...) were silently dropped here. The
+  // database overrides the allocator/fs/namespace fields per partition
+  // anyway (Database::InstantiateEngines), so copying everything is safe.
+  cfg.engine_config = engine_overrides;
+
+  YcsbConfig ycfg;
+  ycfg.num_tuples = Scale().ycsb_tuples;
+  ycfg.num_txns = Scale().ycsb_txns;
+  ycfg.num_partitions = cfg.num_partitions;
+  ycfg.mixture = mixture;
+  ycfg.skew = skew;
+  YcsbWorkload workload(ycfg);
+  return LoadAndRun(cfg, workload, "YCSB load");
+}
+
 /// Load + run TPC-C on a fresh database.
 inline BenchRun RunTpcc(EngineKind engine) {
   DatabaseConfig cfg = MakeDbConfig(engine);
@@ -185,35 +193,11 @@ inline BenchRun RunTpcc(EngineKind engine) {
   // checkpointing off — at the paper's scale its cost amortizes away.
   cfg.engine_config.checkpoint_interval_txns =
       EnvU64("NVMDB_CKPT_INTERVAL", 1000);
-  auto db = std::make_unique<Database>(cfg);
   TpccConfig tcfg;
   tcfg.num_warehouses = cfg.num_partitions;
   tcfg.num_txns = Scale().tpcc_txns;
   TpccWorkload workload(tcfg);
-
-  BenchRun run;
-  {
-    Stopwatch load_watch;
-    CounterSampler sampler(db->device());
-    Status s = workload.Load(db.get());
-    if (!s.ok()) {
-      ReportFailure("TPC-C load", s);
-      return run;
-    }
-    run.load_counters = sampler.Delta();
-    run.load_wall_ns = load_watch.ElapsedNanos();
-  }
-  Coordinator coordinator(db.get());
-  CounterSampler sampler(db->device());
-  const RunResult result = coordinator.Run(workload.GenerateQueues());
-  run.counters = sampler.Delta();
-  run.committed = result.committed;
-  run.aborted = result.aborted;
-  run.wall_ns = result.wall_ns;
-  run.latency = result.latency;
-  run.footprint = db->Footprint();
-  run.ok = true;
-  return run;
+  return LoadAndRun(cfg, workload, "TPC-C load");
 }
 
 inline const std::vector<EngineKind>& AllEngines() {

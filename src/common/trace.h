@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,7 +63,6 @@ class TraceWriter {
 
   void Append(const Event& e);
 
-  std::mutex mu_;
   std::string path_;
   uint32_t pid_;
   std::vector<Event> events_;

@@ -10,7 +10,6 @@ namespace nvmdb {
 
 void CrashSim::Arm(uint64_t target_event, bool tear_final_persist,
                    uint64_t tear_seed) {
-  std::lock_guard<std::mutex> guard(mu_);
   target_ = target_event;
   tear_ = tear_final_persist;
   rng_state_ = tear_seed * 0x9E3779B97F4A7C15ull + 1;
@@ -19,25 +18,7 @@ void CrashSim::Arm(uint64_t target_event, bool tear_final_persist,
   image_ = {};
 }
 
-void CrashSim::Disarm() {
-  std::lock_guard<std::mutex> guard(mu_);
-  target_ = 0;
-}
-
-uint64_t CrashSim::event_count() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return events_;
-}
-
-bool CrashSim::captured() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return captured_;
-}
-
-uint64_t CrashSim::captured_event() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return captured_event_;
-}
+void CrashSim::Disarm() { target_ = 0; }
 
 bool CrashSim::Coin() {
   // xorshift64*: deterministic per-line tearing from the armed seed.
@@ -62,7 +43,6 @@ void CrashSim::OnBarrier(NvmDevice* device) {
 
 void CrashSim::Event(NvmDevice* device, uint64_t offset, size_t n,
                      bool atomic, uint64_t value) {
-  std::lock_guard<std::mutex> guard(mu_);
   events_++;
   if (target_ != 0 && !captured_ && events_ == target_) {
     Capture(device, offset, n, atomic, value);

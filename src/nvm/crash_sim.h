@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "nvm/nvm_device.h"
 
@@ -51,10 +50,10 @@ class CrashSim {
   void Disarm();
 
   /// Durability events observed so far (monotonic across Arm/Disarm).
-  uint64_t event_count() const;
+  uint64_t event_count() const { return events_; }
 
-  bool captured() const;
-  uint64_t captured_event() const;
+  bool captured() const { return captured_; }
+  uint64_t captured_event() const { return captured_event_; }
 
   /// The durable-only image captured at the crash point. Empty until a
   /// capture fires.
@@ -86,7 +85,6 @@ class CrashSim {
                uint64_t value);
   bool Coin();
 
-  mutable std::mutex mu_;
   uint64_t events_ = 0;
   uint64_t target_ = 0;  // 0 = disarmed
   bool tear_ = false;

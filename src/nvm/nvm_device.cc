@@ -84,29 +84,14 @@ NvmDevice::NvmDevice(size_t capacity, const NvmLatencyConfig& latency,
       working_(capacity),
       latency_(latency),
       durable_(capacity),
-      // std::atomic<uint32_t> is lock-free and layout-compatible with a
-      // zeroed uint32_t on every supported platform, so the wear array can
-      // live in a lazily-zeroed buffer too instead of an eagerly-constructed
-      // new[].
-      wear_((capacity / 64 + 1) * sizeof(std::atomic<uint32_t>)),
+      wear_((capacity / 64 + 1) * sizeof(uint32_t)),
       durable_pages_((capacity + kPageSize * 64 - 1) / (kPageSize * 64)) {
-  // Resolve the concurrency mode (NVMDB_SHARED_CACHE override included)
-  // before building the cache so the write-back trampoline and the cache
-  // agree on it; the cache's own resolution of the same request is
-  // idempotent.
-  const ConcurrencyMode mode = ResolveConcurrencyMode(cache_cfg.mode);
-  owner_ = mode == ConcurrencyMode::kOwner;
-  CacheConfig resolved_cfg = cache_cfg;
-  resolved_cfg.mode = mode;
-
   CacheCallbacks callbacks;
-  callbacks.write_back =
-      owner_ ? &NvmDevice::WriteBackTrampoline<ConcurrencyMode::kOwner>
-             : &NvmDevice::WriteBackTrampoline<ConcurrencyMode::kShared>;
+  callbacks.write_back = &NvmDevice::WriteBackTrampoline;
   callbacks.ctx = this;
   // Miss latency is charged at the access site (together with hit and
   // write-back costs), not in a fill callback, so no fill hook is needed.
-  cache_ = std::make_unique<CacheSim>(resolved_cfg, callbacks);
+  cache_ = std::make_unique<CacheSim>(cache_cfg, callbacks);
 }
 
 NvmDevice::~NvmDevice() {
@@ -121,7 +106,6 @@ uint64_t NvmDevice::StoreCostNs() const {
                                gbps);
 }
 
-template <ConcurrencyMode M>
 void NvmDevice::OnWriteBack(uint64_t line_addr, size_t line_size) {
   // A dirty line reaching NVM: copy working -> durable and count wear.
   // Lines outside the managed region (virtual heap addresses routed
@@ -129,27 +113,16 @@ void NvmDevice::OnWriteBack(uint64_t line_addr, size_t line_size) {
   if (line_addr + line_size <= capacity_) {
     memcpy(durable_.data() + line_addr, working_.data() + line_addr,
            line_size);
-    MarkPage<M>(line_addr / kPageSize);
-    std::atomic<uint32_t>& wear = LineWrites(line_addr / 64);
-    if constexpr (M == ConcurrencyMode::kOwner) {
-      wear.store(wear.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-    } else {
-      wear.fetch_add(1, std::memory_order_relaxed);
-    }
+    MarkPage(line_addr / kPageSize);
+    LineWrites(line_addr / 64)++;
   }
 }
-
-template void NvmDevice::OnWriteBack<ConcurrencyMode::kOwner>(uint64_t,
-                                                              size_t);
-template void NvmDevice::OnWriteBack<ConcurrencyMode::kShared>(uint64_t,
-                                                               size_t);
 
 void NvmDevice::ChargeAccess(uint64_t addr, size_t n, bool is_write) {
   const CacheAccessResult r = cache_->AccessEx(addr, n, is_write);
   const size_t lines =
       (addr + n - 1) / cache_->line_size() - addr / cache_->line_size() + 1;
-  // One atomic add covers the whole call: miss latency, hit latency, and
+  // One accumulation covers the whole call: miss latency, hit latency, and
   // write-back bandwidth for every line the access touched.
   ChargeStall(r.missed * latency_.read_latency_ns +
               (lines - r.missed) * latency_.cache_hit_ns +
@@ -200,12 +173,12 @@ void NvmDevice::WriteSegments(uint64_t offset, const WriteSeg* segs,
 
 void NvmDevice::Read(uint64_t offset, void* dst, size_t n) {
   assert(offset + n <= capacity_);
-  // Same owner-mode resident-hit fast path as Touch(): a single-line hit —
-  // the overwhelmingly common shape for header/field reads — completes
-  // with one inline probe and one plain add, identical accounting to the
-  // out-of-line path (n == 0 must keep taking ChargeAccess, whose legacy
-  // cost formula charges line coverage without probing the cache).
-  if (owner_ && n != 0 && cache_->OwnerHitFast(offset, n, false)) {
+  // Same resident-hit fast path as Touch(): a single-line hit — the
+  // overwhelmingly common shape for header/field reads — completes with
+  // one inline probe and one add, identical accounting to the out-of-line
+  // path (n == 0 must keep taking ChargeAccess, whose legacy cost formula
+  // charges line coverage without probing the cache).
+  if (n != 0 && cache_->OwnerHitFast(offset, n, false)) {
     ChargeStall(latency_.cache_hit_ns);
   } else {
     ChargeAccess(offset, n, /*is_write=*/false);
@@ -215,7 +188,7 @@ void NvmDevice::Read(uint64_t offset, void* dst, size_t n) {
 
 void NvmDevice::Write(uint64_t offset, const void* src, size_t n) {
   assert(offset + n <= capacity_);
-  if (owner_ && n != 0 && cache_->OwnerHitFast(offset, n, true)) {
+  if (n != 0 && cache_->OwnerHitFast(offset, n, true)) {
     ChargeStall(latency_.cache_hit_ns);
   } else {
     ChargeAccess(offset, n, /*is_write=*/true);
@@ -242,7 +215,7 @@ void NvmDevice::Persist(uint64_t offset, size_t n) {
   MarkPages(first, last_end - first);
   // Write-back bandwidth plus SFENCE + flush latency, in one accumulation.
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
-  CounterAdd(sync_calls_, 1);
+  sync_calls_++;
 }
 
 void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
@@ -257,25 +230,20 @@ void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
   memcpy(durable_.data() + offset, &value, 8);
   MarkPages(offset, 8);
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
-  CounterAdd(sync_calls_, 1);
+  sync_calls_++;
 }
 
 void NvmDevice::MarkPages(uint64_t offset, size_t n) {
   for (uint64_t page = offset / kPageSize;
        page <= (offset + n - 1) / kPageSize; page++) {
-    if (owner_) {
-      MarkPage<ConcurrencyMode::kOwner>(page);
-    } else {
-      MarkPage<ConcurrencyMode::kShared>(page);
-    }
+    MarkPage(page);
   }
 }
 
 std::vector<uint32_t> NvmDevice::DurablePages() const {
   std::vector<uint32_t> pages;
   for (size_t w = 0; w < durable_pages_.size(); w++) {
-    for (uint64_t bits = durable_pages_[w].load(std::memory_order_relaxed);
-         bits != 0; bits &= bits - 1) {
+    for (uint64_t bits = durable_pages_[w]; bits != 0; bits &= bits - 1) {
       pages.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
     }
   }
@@ -343,35 +311,20 @@ NvmCounters NvmDevice::counters() const {
   c.loads = cache_->misses();
   c.stores = cache_->write_backs();
   c.hits = cache_->hits();
-  c.stall_ns = stall_ns_.load(std::memory_order_relaxed);
-  c.external_ns = external_ns_.load(std::memory_order_relaxed);
-  c.sync_calls = sync_calls_.load(std::memory_order_relaxed);
+  c.stall_ns = stall_ns_;
+  c.external_ns = external_ns_;
+  c.sync_calls = sync_calls_;
   c.bytes_read = c.loads * cache_->line_size();
   c.bytes_written = c.stores * cache_->line_size();
-  for (size_t i = 0; i < kStallTagCount; i++) {
-    c.tag_ns[i] = tag_ns_[i].load(std::memory_order_relaxed);
-  }
+  std::copy(std::begin(tag_ns_), std::end(tag_ns_), c.tag_ns);
   return c;
-}
-
-void NvmDevice::ResetCounters() {
-  // CacheSim counters are monotonically increasing; snapshot-deltas are the
-  // caller's job for fine-grained phases, but a full reset is handy between
-  // benchmark sections. We emulate reset by recording nothing here for the
-  // cache (it has no reset) — instead benches take deltas. Stall and sync
-  // counters do support reset.
-  stall_ns_.store(0, std::memory_order_relaxed);
-  sync_calls_.store(0, std::memory_order_relaxed);
-  for (size_t i = 0; i < kStallTagCount; i++) {
-    tag_ns_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 WearStats NvmDevice::wear() const {
   WearStats w;
   const size_t num_lines = capacity_ / 64 + 1;
   for (size_t i = 0; i < num_lines; i++) {
-    const uint32_t writes = LineWrites(i).load(std::memory_order_relaxed);
+    const uint32_t writes = LineWrites(i);
     if (writes == 0) continue;
     w.total_line_writes += writes;
     w.lines_touched++;

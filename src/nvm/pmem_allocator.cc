@@ -83,7 +83,6 @@ void PmemAllocator::Format() {
   rotate_.clear();
   memset(used_by_tag_, 0, sizeof(used_by_tag_));
   total_used_ = 0;
-  device_->allocated_bytes.store(0);
 }
 
 uint64_t PmemAllocator::Alloc(size_t size, StorageTag tag,
@@ -91,7 +90,6 @@ uint64_t PmemAllocator::Alloc(size_t size, StorageTag tag,
   ScopedStallTag stall_tag(StallTag::kAllocator);
   if (size == 0) size = 1;
   const size_t cls = SizeClass(size);
-  std::lock_guard<std::mutex> guard(mu_);
 
   uint64_t slot_off = PopFree(cls);
   SlotHeader* slot;
@@ -129,7 +127,6 @@ uint64_t PmemAllocator::Alloc(size_t size, StorageTag tag,
   used_by_tag_[static_cast<size_t>(tag) %
                static_cast<size_t>(StorageTag::kCount)] += cap;
   total_used_ += cap;
-  device_->allocated_bytes.fetch_add(cap, std::memory_order_relaxed);
   return slot_off + sizeof(SlotHeader);
 }
 
@@ -171,7 +168,6 @@ void PmemAllocator::Free(uint64_t payload_offset) {
   if (!ValidPayloadOffset(payload_offset)) return;
   const uint64_t slot_off = payload_offset - sizeof(SlotHeader);
   SlotHeader* slot = SlotAt(slot_off);
-  std::lock_guard<std::mutex> guard(mu_);
   if (slot->state == static_cast<uint16_t>(SlotState::kFree)) {
     // Already free: either the crash hit mid-way through a multi-slot free
     // and recovery is re-running it, or the allocator walk in Recover()
@@ -187,8 +183,6 @@ void PmemAllocator::Free(uint64_t payload_offset) {
     used_by_tag_[tag_idx] -= slot->capacity;
   }
   if (total_used_ >= slot->capacity) total_used_ -= slot->capacity;
-  device_->allocated_bytes.fetch_sub(slot->capacity,
-                                     std::memory_order_relaxed);
   PushFree(slot_off, slot->capacity);
 }
 
@@ -230,7 +224,6 @@ Status PmemAllocator::SetRoot(const std::string& name, uint64_t offset) {
   if (name.empty() || name.size() >= kNameBytes) {
     return Status::InvalidArgument("root name length");
   }
-  std::lock_guard<std::mutex> guard(mu_);
   RegionHeader* h = header();
   RegionHeader::CatalogEntry* empty = nullptr;
   for (auto& e : h->catalog) {
@@ -257,7 +250,6 @@ Status PmemAllocator::SetRoot(const std::string& name, uint64_t offset) {
 }
 
 uint64_t PmemAllocator::GetRoot(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mu_);
   const RegionHeader* h = header();
   for (const auto& e : h->catalog) {
     if (strncmp(e.name, name.c_str(), kNameBytes) == 0) return e.offset;
@@ -266,7 +258,6 @@ uint64_t PmemAllocator::GetRoot(const std::string& name) const {
 }
 
 void PmemAllocator::Recover() {
-  std::lock_guard<std::mutex> guard(mu_);
   free_lists_.clear();
   rotate_.clear();
   memset(used_by_tag_, 0, sizeof(used_by_tag_));
@@ -299,11 +290,9 @@ void PmemAllocator::Recover() {
   }
   h->high_water = off;
   device_->TouchWrite(&h->high_water, sizeof(h->high_water));
-  device_->allocated_bytes.store(total_used_, std::memory_order_relaxed);
 }
 
 Status PmemAllocator::AuditHeap(uint64_t* live_slots) const {
-  std::lock_guard<std::mutex> guard(mu_);
   const RegionHeader* h = header();
   if (h->magic != kRegionMagic) return Status::Corruption("region magic");
   if (h->heap_start < sizeof(RegionHeader) ||
@@ -337,7 +326,6 @@ Status PmemAllocator::AuditHeap(uint64_t* live_slots) const {
 }
 
 AllocatorStats PmemAllocator::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
   AllocatorStats s;
   memcpy(s.used_by_tag, used_by_tag_, sizeof(used_by_tag_));
   s.total_used = total_used_;

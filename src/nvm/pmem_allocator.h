@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -157,7 +156,6 @@ class PmemAllocator {
 
   NvmDevice* device_;
   bool eager_state_sync_ = true;
-  mutable std::mutex mu_;
   // payload size class -> slot offsets; rotation index per class.
   std::map<size_t, std::vector<uint64_t>> free_lists_;
   std::map<size_t, size_t> rotate_;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,7 +79,6 @@ class Pmfs {
   PmfsConfig config_;
   uint64_t super_offset_ = 0;
 
-  mutable std::mutex mu_;
   struct Handle {
     int inode_idx = -1;
     // Block indices needing flush, in append order with possible

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -8,6 +7,8 @@
 #include "common/random.h"
 #include "nvm/cache_sim.h"
 #include "nvm/nvm_device.h"
+#include "nvm/pmem_allocator.h"
+#include "nvm/pmfs.h"
 #include "nvm/sync.h"
 
 namespace nvmdb {
@@ -15,19 +16,17 @@ namespace {
 
 /// Event counters wired into CacheCallbacks' raw-pointer interface.
 struct EventCounts {
-  std::atomic<uint64_t> write_backs{0};
-  std::atomic<uint64_t> fills{0};
+  uint64_t write_backs = 0;
+  uint64_t fills = 0;
 
   CacheCallbacks AsCallbacks() {
     CacheCallbacks callbacks;
     callbacks.ctx = this;
     callbacks.write_back = [](void* ctx, uint64_t, size_t) {
-      static_cast<EventCounts*>(ctx)->write_backs.fetch_add(
-          1, std::memory_order_relaxed);
+      static_cast<EventCounts*>(ctx)->write_backs++;
     };
     callbacks.fill = [](void* ctx, uint64_t, size_t) {
-      static_cast<EventCounts*>(ctx)->fills.fetch_add(
-          1, std::memory_order_relaxed);
+      static_cast<EventCounts*>(ctx)->fills++;
     };
     return callbacks;
   }
@@ -40,7 +39,6 @@ TEST(CacheSimTest, HitAfterMiss) {
   cfg.capacity_bytes = 4096;
   cfg.line_size = 64;
   cfg.associativity = 4;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   EXPECT_EQ(cache.Access(0, 64, false), 1u);  // miss
   EXPECT_EQ(cache.Access(0, 64, false), 0u);  // hit
@@ -51,7 +49,6 @@ TEST(CacheSimTest, HitAfterMiss) {
 TEST(CacheSimTest, MultiLineAccess) {
   CacheConfig cfg;
   cfg.capacity_bytes = 4096;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   // 200 bytes spanning 4 lines (unaligned start).
   EXPECT_EQ(cache.Access(30, 200, false), 4u);
@@ -62,31 +59,28 @@ TEST(CacheSimTest, DirtyEvictionTriggersWriteBack) {
   cfg.capacity_bytes = 256;  // 4 lines total
   cfg.line_size = 64;
   cfg.associativity = 2;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   // Dirty many distinct lines; capacity forces evictions of dirty lines.
   for (uint64_t i = 0; i < 64; i++) cache.Access(i * 64, 8, true);
-  EXPECT_GT(events.write_backs.load(), 32u);
+  EXPECT_GT(events.write_backs, 32u);
 }
 
 TEST(CacheSimTest, FlushWritesBackAndInvalidates) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   cache.Access(128, 8, true);
   EXPECT_EQ(cache.FlushRange(128, 8, /*invalidate=*/true), 1u);
-  EXPECT_EQ(events.write_backs.load(), 1u);
+  EXPECT_EQ(events.write_backs, 1u);
   // Invalidated: next access misses again.
-  const uint64_t fills_before = events.fills.load();
+  const uint64_t fills_before = events.fills;
   cache.Access(128, 8, false);
-  EXPECT_EQ(events.fills.load(), fills_before + 1);
+  EXPECT_EQ(events.fills, fills_before + 1);
 }
 
 TEST(CacheSimTest, ClwbKeepsLineResident) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   cache.Access(128, 8, true);
   cache.FlushRange(128, 8, /*invalidate=*/false);  // CLWB semantics
@@ -95,7 +89,6 @@ TEST(CacheSimTest, ClwbKeepsLineResident) {
 
 TEST(CacheSimTest, FlushCleanLineIsNoop) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   cache.Access(0, 8, false);
   EXPECT_EQ(cache.FlushRange(0, 8, true), 0u);
@@ -103,12 +96,11 @@ TEST(CacheSimTest, FlushCleanLineIsNoop) {
 
 TEST(CacheSimTest, DropDirtyDiscardsWithoutWriteBack) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   cache.Access(0, 64, true);
   cache.DropDirty();
-  EXPECT_EQ(events.write_backs.load(), 0u);
+  EXPECT_EQ(events.write_backs, 0u);
   EXPECT_EQ(cache.FlushRange(0, 64, true), 0u);  // nothing cached anymore
 }
 
@@ -117,7 +109,6 @@ TEST(CacheSimTest, AccessExReportsWriteBacks) {
   cfg.capacity_bytes = 256;  // 4 lines total
   cfg.line_size = 64;
   cfg.associativity = 2;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   CacheAccessResult total;
@@ -128,131 +119,61 @@ TEST(CacheSimTest, AccessExReportsWriteBacks) {
   }
   // Every write-back surfaced by a callback was also reported to the
   // caller of AccessEx (this is what lets the device charge bandwidth
-  // with one atomic add per access instead of one per line).
-  EXPECT_EQ(events.write_backs.load(), total.write_backs);
+  // with one add per access instead of one per line).
+  EXPECT_EQ(events.write_backs, total.write_backs);
   EXPECT_EQ(cache.write_backs(), total.write_backs);
   EXPECT_EQ(cache.misses(), total.missed);
 }
 
-// Satellite: the seed's counters were documented as "approximate under
-// concurrency"; the per-bank rework makes them exact. Every access
-// touches exactly one line here, so after the threads quiesce the
-// identity hits + misses == total accesses must hold with no slack.
-// Pinned to kShared: this is the multi-threaded discipline (and the test
-// the TSan job watches); owner mode forbids concurrent access entirely.
-TEST(CacheSimTest, CountersExactUnderConcurrency) {
-  CacheConfig cfg;
-  cfg.capacity_bytes = 64 * 1024;
-  cfg.line_size = 64;
-  cfg.associativity = 4;
-  cfg.num_banks = 8;
-  cfg.mode = ConcurrencyMode::kShared;
-  EventCounts events;
-  CacheSim cache(cfg, events.AsCallbacks());
+// --- Thread confinement -----------------------------------------------------
 
-  constexpr int kThreads = 8;
-  constexpr uint64_t kAccessesPerThread = 100000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&cache, t]() {
-      uint64_t x = 0x9e3779b9u + static_cast<uint64_t>(t);
-      for (uint64_t i = 0; i < kAccessesPerThread; i++) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        const uint64_t addr = (x % (1u << 20)) & ~uint64_t{63};
-        cache.Access(addr, 8, (x & 1) != 0);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kAccessesPerThread);
-  EXPECT_EQ(cache.write_backs(), events.write_backs.load());
-  EXPECT_EQ(cache.misses(), events.fills.load());
-}
-
-// --- Concurrency modes -------------------------------------------------------
-
-TEST(CacheSimTest, ModeIsConstructorSelected) {
-  CacheConfig cfg;
-  cfg.num_banks = 1;
-  CacheSim owner(cfg, {});  // kOwner is the config default
-  EXPECT_EQ(owner.mode(), ConcurrencyMode::kOwner);
-  cfg.mode = ConcurrencyMode::kShared;
-  CacheSim shared(cfg, {});
-  EXPECT_EQ(shared.mode(), ConcurrencyMode::kShared);
-}
-
-TEST(CacheSimTest, EnvForcesSharedMode) {
-  setenv("NVMDB_SHARED_CACHE", "1", 1);
-  CacheConfig cfg;
-  cfg.mode = ConcurrencyMode::kOwner;
-  CacheSim forced(cfg, {});
-  EXPECT_EQ(forced.mode(), ConcurrencyMode::kShared);
-  setenv("NVMDB_SHARED_CACHE", "0", 1);
-  CacheSim not_forced(cfg, {});
-  EXPECT_EQ(not_forced.mode(), ConcurrencyMode::kOwner);
-  unsetenv("NVMDB_SHARED_CACHE");
-  CacheSim unset(cfg, {});
-  EXPECT_EQ(unset.mode(), ConcurrencyMode::kOwner);
-}
-
-// Both modes run the identical cache model; only the synchronization
-// differs. A single-threaded trace must therefore produce the same
-// miss/flush return values, counters, and events in either mode.
-TEST(CacheSimTest, OwnerAndSharedModelIdentical) {
-  CacheConfig cfg;
-  cfg.capacity_bytes = 8 * 1024;
-  cfg.line_size = 64;
-  cfg.associativity = 2;
-  cfg.num_banks = 4;
-  EventCounts owner_events, shared_events;
-  cfg.mode = ConcurrencyMode::kOwner;
-  CacheSim owner(cfg, owner_events.AsCallbacks());
-  cfg.mode = ConcurrencyMode::kShared;
-  CacheSim shared(cfg, shared_events.AsCallbacks());
-
-  uint64_t x = 0x2545F4914F6CDD1Dull;
-  for (int i = 0; i < 20000; i++) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    const uint64_t addr = x % (256 * 1024);
-    const size_t size = 1 + (x >> 32) % 200;
-    const bool flag = (x & 2) != 0;
-    if ((x % 10) < 8) {
-      EXPECT_EQ(owner.Access(addr, size, flag),
-                shared.Access(addr, size, flag));
-    } else {
-      EXPECT_EQ(owner.FlushRange(addr, size, flag),
-                shared.FlushRange(addr, size, flag));
-    }
-  }
-  EXPECT_EQ(owner.hits(), shared.hits());
-  EXPECT_EQ(owner.misses(), shared.misses());
-  EXPECT_EQ(owner.write_backs(), shared.write_backs());
-  EXPECT_EQ(owner_events.write_backs.load(), shared_events.write_backs.load());
-  EXPECT_EQ(owner_events.fills.load(), shared_events.fills.load());
-}
-
-// Satellite: cross-thread access to an owner-mode cache must be caught in
-// debug builds (the zero-synchronization fast path is only sound under
-// strict thread confinement). Release builds compile the check out; the
-// test skips there rather than exercising undefined behavior.
+// Cross-thread access to a cache must be caught in debug builds (the
+// zero-synchronization access path is only sound under strict thread
+// confinement). Release builds compile the check out; the tests skip there
+// rather than exercising undefined behavior.
 TEST(CacheSimOwnerDeathTest, CrossThreadAccessAbortsInDebug) {
   if (!CacheSim::kOwnerChecksEnabled) {
     GTEST_SKIP() << "owner checks compiled out (NDEBUG)";
   }
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  CacheConfig cfg;
-  cfg.num_banks = 1;
-  cfg.mode = ConcurrencyMode::kOwner;
-  CacheSim cache(cfg, {});
+  CacheSim cache(CacheConfig{}, {});
   cache.Access(0, 8, false);  // this thread becomes the owner
   EXPECT_DEATH(
       std::thread([&cache] { cache.Access(64, 8, false); }).join(),
       "owner-mode violation");
+}
+
+// The allocator and the filesystem take no locks either: a call from a
+// second thread reaches the device's cache and trips the same check.
+TEST(CacheSimOwnerDeathTest, CrossThreadAllocatorAllocAbortsInDebug) {
+  if (!CacheSim::kOwnerChecksEnabled) {
+    GTEST_SKIP() << "owner checks compiled out (NDEBUG)";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  NvmDevice device(1 << 20);
+  PmemAllocator allocator(&device);  // formatting makes this thread owner
+  ASSERT_NE(allocator.Alloc(64), 0u);
+  EXPECT_DEATH(
+      std::thread([&allocator] { allocator.Alloc(64); }).join(),
+      "owner-mode violation");
+}
+
+TEST(CacheSimOwnerDeathTest, CrossThreadPmfsAppendAbortsInDebug) {
+  if (!CacheSim::kOwnerChecksEnabled) {
+    GTEST_SKIP() << "owner checks compiled out (NDEBUG)";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  NvmDevice device(4 << 20);
+  PmemAllocator allocator(&device);
+  Pmfs fs(&allocator);
+  const Pmfs::Fd fd = fs.Open("log", /*create=*/true);
+  ASSERT_GE(fd, 0);
+  const char record[] = "record";
+  ASSERT_TRUE(fs.Append(fd, record, sizeof(record)).ok());
+  EXPECT_DEATH(std::thread([&] {
+                 (void)fs.Append(fd, record, sizeof(record));
+               }).join(),
+               "owner-mode violation");
 }
 
 // --- NvmDevice ---------------------------------------------------------------
@@ -295,7 +216,6 @@ TEST_F(NvmDeviceTest, EvictedDirtyLinesSurviveCrash) {
   // (written back) and must survive even without explicit Persist.
   CacheConfig small_cache;
   small_cache.capacity_bytes = 8 * 1024;
-  small_cache.num_banks = 1;
   NvmDevice device(1 << 20, NvmLatencyConfig::Dram(), small_cache);
   for (uint64_t i = 0; i < 1024; i++) {
     const uint64_t v = i * 3 + 1;
@@ -346,7 +266,6 @@ TEST(NvmDevicePageMarkTest, CrashLeavesExactlyTheDurableImage) {
   constexpr size_t kUnpersistedPages = kPages / 4;
   CacheConfig small_cache;
   small_cache.capacity_bytes = 8 * 1024;
-  small_cache.num_banks = 1;
   NvmDevice device(kCapacity, NvmLatencyConfig::Dram(), small_cache);
   Random rng(1017);
   // A random cache line inside [first_page, first_page + pages).
@@ -464,52 +383,80 @@ TEST_F(NvmDeviceTest, SyncLatencySweepAffectsStall) {
   EXPECT_GT(costs[1], costs[0] * 50);
 }
 
-// The owner-mode device inlines a resident-hit fast path into Touch*;
-// the same traffic driven through an owner and a shared device must
-// produce bit-identical counters, stalls, and wear.
-TEST_F(NvmDeviceTest, OwnerTouchFastPathMatchesSharedMode) {
+// The device completes a resident single-line Touch*/Write hit inline
+// (CacheSim::OwnerHitFast). One-segment TouchSegments/WriteSegments calls
+// model the same accesses but never take that path, so the same traffic
+// driven both ways must produce bit-identical counters, per-tag stalls,
+// and wear.
+TEST_F(NvmDeviceTest, TouchFastPathMatchesSegmentedPath) {
   CacheConfig cache_cfg;
   cache_cfg.capacity_bytes = 64 * 1024;
-  cache_cfg.mode = ConcurrencyMode::kOwner;
-  NvmDevice owner(1 << 20, NvmLatencyConfig::LowNvm(), cache_cfg);
-  cache_cfg.mode = ConcurrencyMode::kShared;
-  NvmDevice shared(1 << 20, NvmLatencyConfig::LowNvm(), cache_cfg);
-  ASSERT_EQ(owner.mode(), ConcurrencyMode::kOwner);
-  ASSERT_EQ(shared.mode(), ConcurrencyMode::kShared);
+  NvmDevice fast(1 << 20, NvmLatencyConfig::LowNvm(), cache_cfg);
+  NvmDevice segmented(1 << 20, NvmLatencyConfig::LowNvm(), cache_cfg);
 
-  auto drive = [](NvmDevice& d) {
+  auto drive = [](NvmDevice& d, bool as_segments) {
     uint64_t x = 0x9e3779b97f4a7c15ull;
     for (int i = 0; i < 30000; i++) {
       x ^= x << 13;
       x ^= x >> 7;
       x ^= x << 17;
+      ScopedStallTag tag(static_cast<StallTag>((x >> 40) % kStallTagCount));
       const uint64_t off = x % ((1 << 20) - 512);
-      const size_t n = 1 + (x >> 32) % 100;  // mostly single-line
+      const uint32_t n = 1 + (x >> 32) % 100;  // mostly single-line
+      const uint64_t virt = (uint64_t{1} << 45) + off;
+      const bool flag = (x & 2) != 0;
       switch (x % 5) {
-        case 0: d.TouchRead(d.PtrAt(off), n); break;
-        case 1: d.TouchWrite(d.PtrAt(off), n); break;
-        case 2:
-          d.TouchVirtual(reinterpret_cast<void*>((uint64_t{1} << 45) + off),
-                         n, (x & 2) != 0);
+        case 0:
+          if (as_segments) {
+            d.TouchSegments(off, &n, 1, /*is_write=*/false);
+          } else {
+            d.TouchRead(d.PtrAt(off), n);
+          }
           break;
-        case 3: d.Write(off, &x, 8); break;
-        default: d.Persist(off, n); break;
+        case 1:
+          if (as_segments) {
+            d.TouchSegments(off, &n, 1, /*is_write=*/true);
+          } else {
+            d.TouchWrite(d.PtrAt(off), n);
+          }
+          break;
+        case 2:
+          if (as_segments) {
+            d.TouchSegments(virt, &n, 1, flag);
+          } else {
+            d.TouchVirtual(reinterpret_cast<void*>(virt), n, flag);
+          }
+          break;
+        case 3:
+          if (as_segments) {
+            const NvmDevice::WriteSeg seg{&x, 8};
+            d.WriteSegments(off, &seg, 1);
+          } else {
+            d.Write(off, &x, 8);
+          }
+          break;
+        default:
+          d.Persist(off, n);
+          break;
       }
     }
   };
-  drive(owner);
-  drive(shared);
+  drive(fast, /*as_segments=*/false);
+  drive(segmented, /*as_segments=*/true);
 
-  const NvmCounters a = owner.counters();
-  const NvmCounters b = shared.counters();
+  const NvmCounters a = fast.counters();
+  const NvmCounters b = segmented.counters();
   EXPECT_EQ(a.loads, b.loads);
   EXPECT_EQ(a.stores, b.stores);
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.stall_ns, b.stall_ns);
   EXPECT_EQ(a.sync_calls, b.sync_calls);
+  for (size_t t = 0; t < kStallTagCount; t++) {
+    EXPECT_EQ(a.tag_ns[t], b.tag_ns[t]) << "tag " << t;
+  }
   EXPECT_GT(a.hits, 0u);  // the fast path actually fired
-  const WearStats wa = owner.wear();
-  const WearStats wb = shared.wear();
+  const WearStats wa = fast.wear();
+  const WearStats wb = segmented.wear();
   EXPECT_EQ(wa.total_line_writes, wb.total_line_writes);
   EXPECT_EQ(wa.max_line_writes, wb.max_line_writes);
   EXPECT_EQ(wa.lines_touched, wb.lines_touched);
